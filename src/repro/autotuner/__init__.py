@@ -1,6 +1,5 @@
 """Exhaustive per-operator configuration tuning (paper Sec. V)."""
 
-from .cache import CacheMismatch, load_sweep, save_sweep, sweep_from_dict, sweep_to_dict
 from .tuner import (
     ConfigMeasurement,
     SweepResult,
@@ -11,12 +10,7 @@ from .tuner import (
 from .violin import ViolinSummary, render_ascii, summarize
 
 __all__ = [
-    "CacheMismatch",
     "ConfigMeasurement",
-    "load_sweep",
-    "save_sweep",
-    "sweep_from_dict",
-    "sweep_to_dict",
     "SweepResult",
     "ViolinSummary",
     "render_ascii",

@@ -59,7 +59,7 @@ def framework_schedule(
     include_backward: bool = True,
     cap: int | None = 600,
     jobs: int | None = None,
-    fast: bool | None = None,
+    fast: bool = True,
 ) -> Schedule:
     """Build the policy's graph and time it (Tables IV and V)."""
     cost = cost or CostModel()

@@ -117,7 +117,7 @@ def build_schedule(
     cap: int | None = 600,
     seed: int = 0x5EED,
     jobs: int | None = None,
-    fast: bool | None = None,
+    fast: bool = True,
     register=None,
 ) -> Schedule:
     """Time every kernel of ``graph`` under the framework's policy.
@@ -127,8 +127,8 @@ def build_schedule(
     pipeline from the policy alone).  Whole-graph sweeps route through the
     engine scheduler; ``jobs`` fans cold sweeps out over worker processes
     without changing any result.  ``fast`` picks the configuration-selection
-    pipeline (vectorized by default, scalar reference with ``fast=False`` /
-    ``REPRO_CONFIGSEL_FAST=0``); both produce bit-identical schedules.
+    pipeline (vectorized by default, scalar reference with ``fast=False``);
+    both produce bit-identical schedules.
     ``register`` (a :class:`~repro.registry.ScheduleRegistry` or ``True``
     for the process-active one) persists the ``"selected"``-mode selection
     in the schedule registry; other layout modes have no global selection

@@ -22,11 +22,6 @@ under the in-process memo), so later invocations skip re-sweeping; the
 (``REPRO_JOBS`` sets the default; 0 means one per CPU).  Neither option
 changes any reported number — results are bit-identical.
 
-Configuration selection runs on the vectorized fast path (layered
-min-plus SSSP + batched inference) by default; ``--no-fast-select`` (or
-``REPRO_CONFIGSEL_FAST=0``) falls back to the scalar reference.  The two
-are bit-identical, so this is a debugging knob, not a results knob.
-
 Tuning as a service::
 
     python -m repro serve --port 8077 --sweep-store ~/.cache/repro-sweeps
@@ -778,18 +773,6 @@ def main(argv: list[str] | None = None) -> int:
         help="directory of the persistent sweep store "
              "(default: REPRO_SWEEP_STORE or disabled)",
     )
-    parser.add_argument(
-        "--no-fast-select", action="store_true",
-        help="run the scalar reference configuration selection instead of "
-             "the vectorized fast path (same results; also "
-             "REPRO_CONFIGSEL_FAST=0)",
-    )
-    parser.add_argument(
-        "--no-delta-sweep", action="store_true",
-        help="always evaluate cold on an exact-digest store miss instead "
-             "of delta re-sweeping from a structural twin (same results; "
-             "also REPRO_DELTA_SWEEP=0)",
-    )
     service = parser.add_argument_group("tuning service (serve / query)")
     service.add_argument(
         "--host", default="127.0.0.1", help="serve: bind address"
@@ -896,16 +879,6 @@ def main(argv: list[str] | None = None) -> int:
         help="rollout: abandon the canary candidate",
     )
     args = parser.parse_args(argv)
-    if args.no_fast_select:
-        import os
-
-        from repro.configsel.selector import FAST_ENV_VAR
-
-        os.environ[FAST_ENV_VAR] = "0"
-    if args.no_delta_sweep:
-        from repro.engine import set_delta_enabled
-
-        set_delta_enabled(False)
     if args.sweep_store is not None:
         from repro.engine import set_sweep_store
 

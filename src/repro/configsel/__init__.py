@@ -4,7 +4,6 @@ from .chain import ChainError, ChainStep, primary_chain, project_layout
 from .refinement import RefinementResult, refine_selection
 from .selector import (
     ChainMatrices,
-    FAST_ENV_VAR,
     SelectedConfiguration,
     TransposeInsertion,
     build_chain_matrices,
@@ -22,7 +21,6 @@ from .sssp import (
 __all__ = [
     "ChainError",
     "ChainMatrices",
-    "FAST_ENV_VAR",
     "RefinementResult",
     "refine_selection",
     "ChainStep",

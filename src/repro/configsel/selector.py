@@ -15,8 +15,8 @@ Two selection pipelines produce the same result, mirroring the
 * the **scalar reference**: explicit :class:`~repro.configsel.sssp.ConfigGraph`
   nodes and edges, node-by-node relaxation, and Python scans over every
   sweep measurement — slow but obviously faithful;
-* the **vectorized fast path** (default; disable with
-  ``REPRO_CONFIGSEL_FAST=0`` or ``fast=False``): each chain step becomes a
+* the **vectorized fast path** (default; ``fast=False`` selects the
+  scalar reference): each chain step becomes a
   dense ``(n_layouts_in, n_layouts_out)`` min-plus cost matrix
   (:func:`build_chain_matrices`), the chain is solved with one broadcast
   relaxation per layer (:func:`~repro.configsel.sssp.shortest_path_layered`),
@@ -35,8 +35,8 @@ order on both sides.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,7 +44,9 @@ from repro import obs
 from repro.autotuner.tuner import ConfigMeasurement, SweepResult
 from repro.engine import sweep_graph
 from repro.hardware.cost_model import CostModel
+from repro.hardware.spec import GPUSpec
 from repro.ir.dims import DimEnv
+from repro.ir.dtypes import DType
 from repro.ir.graph import DataflowGraph
 from repro.ir.operator import OpClass, OpSpec
 from repro.ir.tensor import TensorSpec
@@ -60,24 +62,10 @@ __all__ = [
     "build_config_graph",
     "build_chain_matrices",
     "ChainMatrices",
-    "FAST_ENV_VAR",
 ]
 
 _SOURCE = ("source",)
 _TARGET = ("target",)
-
-#: Environment escape hatch: set to ``0`` to run the scalar reference
-#: selection end-to-end (the CLI's ``--no-fast-select`` sets this).
-FAST_ENV_VAR = "REPRO_CONFIGSEL_FAST"
-
-
-def _fast_enabled(fast: bool | None) -> bool:
-    if fast is not None:
-        return fast
-    return os.environ.get(FAST_ENV_VAR, "1").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
-
 
 # ---------------------------------------------------------------------------
 # Transpose-cost memo
@@ -86,21 +74,22 @@ def _fast_enabled(fast: bool | None) -> bool:
 #: Transpose cost depends only on the tensor's dims/sizes/dtype and the
 #: GPU — never on the particular (from, to) layout pair — yet selection
 #: re-costs the same tensors across chain steps, penalties and inference.
-#: One process-wide memo turns those repeats into dict hits.  Bounded: the
+#: One process-wide LRU turns those repeats into cache hits.  Bounded: the
 #: daemon optimizes arbitrary client-supplied dims and GPU specs, and a
 #: weeks-lived process must not grow with request variety.
-_TRANSPOSE_MEMO: dict[tuple, float] = {}
-_TRANSPOSE_MEMO_LIMIT = 65536
+@lru_cache(maxsize=65536)
+def _transpose_time_us(
+    gpu: GPUSpec, dtype: DType, dims: tuple[str, ...], sizes: tuple[int, ...]
+) -> float:
+    spec = TensorSpec("transposed", dims, dtype)
+    env = DimEnv(dict(zip(dims, sizes)))
+    return CostModel(gpu).time_transpose(spec, env).total_us
 
 
 def _transpose_us(cost: CostModel, spec: TensorSpec, env: DimEnv) -> float:
-    key = (cost.gpu, spec.dtype, spec.dims, tuple(env[d] for d in spec.dims))
-    cached = _TRANSPOSE_MEMO.get(key)
-    if cached is None:
-        if len(_TRANSPOSE_MEMO) >= _TRANSPOSE_MEMO_LIMIT:
-            _TRANSPOSE_MEMO.clear()
-        cached = _TRANSPOSE_MEMO[key] = cost.time_transpose(spec, env).total_us
-    return cached
+    return _transpose_time_us(
+        cost.gpu, spec.dtype, spec.dims, tuple(env[d] for d in spec.dims)
+    )
 
 
 @dataclass(frozen=True)
@@ -571,16 +560,16 @@ def select_configurations(
     cap: int | None = 1000,
     seed: int = 0x5EED,
     jobs: int | None = None,
-    fast: bool | None = None,
+    fast: bool = True,
     register=None,
 ) -> SelectedConfiguration:
     """Run Step 4: global layout selection and full-graph assembly.
 
     Sweeps route through the engine scheduler (two-tier cache, structural
     dedup); ``jobs`` parallelizes cold sweeps without changing results.
-    ``fast`` selects the vectorized pipeline (default; ``None`` defers to
-    ``REPRO_CONFIGSEL_FAST``) or the scalar reference — the two are
-    bit-identical, so the flag never changes any result.
+    ``fast`` selects the vectorized pipeline (default) or the scalar
+    reference — the two are bit-identical, so the flag never changes any
+    result.
 
     ``register`` persists the finished selection as a content-addressed
     :class:`~repro.registry.ScheduleEntry`: pass a
@@ -590,8 +579,7 @@ def select_configurations(
     sampling seed the sweeps — and the registered digest — are keyed by.
     """
     cost = cost or CostModel()
-    use_fast = _fast_enabled(fast)
-    obs.set_attr("configsel.fast", use_fast)
+    obs.set_attr("configsel.fast", fast)
     if sweeps is None:
         sweeps = sweep_graph(graph, env, cost, cap=cap, seed=seed, jobs=jobs)
     with obs.span(
@@ -599,7 +587,7 @@ def select_configurations(
     ):
         return _select_configurations_swept(
             graph, env, cost, sweeps=sweeps, source=source, cap=cap,
-            seed=seed, fast=use_fast, register=register,
+            seed=seed, fast=fast, register=register,
         )
 
 

@@ -17,7 +17,7 @@ scalar loop with a batched pipeline:
    ``sweep_op`` == ``sweep_op_reference``);
 3. :mod:`repro.engine.sweep` stable-sorts the totals, materializes
    ``ConfigMeasurement`` objects lazily, and caches whole sweeps in two
-   tiers: the process-level memo (:mod:`repro.engine.memo`, L1) over a
+   tiers: the bounded process-level LRU (:mod:`repro.engine.memo`, L1) over a
    persistent content-addressed store (:mod:`repro.engine.store`, L2,
    enabled with ``REPRO_SWEEP_STORE`` / ``--sweep-store``), both keyed by
    ``COST_MODEL_VERSION``;
@@ -31,7 +31,7 @@ route through here; the scalar reference stays available as
 ``repro.autotuner.tuner.sweep_op_reference``.
 """
 
-from .memo import clear_sweep_memo, memo_key, sweep_memo_stats
+from .memo import BoundedCache, clear_sweep_memo, memo_key, sweep_memo_stats
 from .space import (
     ContractionSpace,
     KernelSpace,
@@ -56,16 +56,15 @@ from .scheduler import resolve_jobs, set_default_jobs, sweep_graph
 from .sweep import (
     PreSortedMeasurements,
     contraction_time_split,
-    delta_enabled,
     delta_payload_from_store,
     load_or_compute_payload,
-    set_delta_enabled,
     sweep_from_payload,
     sweep_op,
 )
 
 __all__ = [
     "BatchedTimes",
+    "BoundedCache",
     "ContractionSpace",
     "KernelSpace",
     "PreSortedMeasurements",
@@ -74,7 +73,6 @@ __all__ = [
     "compute_payload",
     "compute_payload_delta",
     "contraction_time_split",
-    "delta_enabled",
     "delta_payload_from_store",
     "enumerate_contraction_space",
     "enumerate_kernel_space",
@@ -87,7 +85,6 @@ __all__ = [
     "read_payload_npz",
     "resolve_jobs",
     "set_default_jobs",
-    "set_delta_enabled",
     "set_sweep_store",
     "structural_sweep_digest",
     "sweep_digest",

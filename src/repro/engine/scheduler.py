@@ -31,7 +31,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro import obs
-from repro.autotuner.cache import CacheMismatch
 from repro.hardware.cost_model import CostModel
 from repro.hardware.spec import GPUSpec
 from repro.ir.dims import DimEnv
@@ -39,7 +38,13 @@ from repro.ir.graph import DataflowGraph
 from repro.ir.operator import OpClass, OpSpec
 
 from .memo import memo_get, memo_key, memo_put
-from .store import SweepStore, compute_payload, get_sweep_store, sweep_digest
+from .store import (
+    CacheMismatch,
+    SweepStore,
+    compute_payload,
+    get_sweep_store,
+    sweep_digest,
+)
 from .sweep import delta_payload_from_store, sweep_from_payload, sweep_op
 
 __all__ = [

@@ -22,16 +22,14 @@ out of the canonicalization:
 * **Version invalidation.**  ``COST_MODEL_VERSION`` is part of the digest
   *and* embedded in every payload; bumping it (see the rule in
   :mod:`repro.hardware.cost_model`) orphans every stored entry, exactly as
-  it flushes the L1 memo and the JSON artifacts of
-  :mod:`repro.autotuner.cache`.
+  it flushes the L1 memo.
 
 Payloads are ``.npz`` files holding the *evaluation-order* timing arrays,
 the stable-sort permutation, and the (name-free) layout choice tables
 needed to rebuild configurations lazily — binary float64, so a round-trip
 is bit-identical to a fresh :func:`~repro.autotuner.tuner.sweep_op_reference`
-run.  A mismatched or corrupt entry raises
-:class:`~repro.autotuner.cache.CacheMismatch` and is recomputed (and
-overwritten), never silently reused.
+run.  A mismatched or corrupt entry raises :class:`CacheMismatch` and is
+recomputed (and overwritten), never silently reused.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.autotuner.cache import CacheMismatch
 from repro.hardware.efficiency import contraction_layout_units
 from repro.hardware.params import active_cost_model_version
 from repro.hardware.spec import GPUSpec
@@ -71,6 +68,7 @@ from .space import (
 )
 
 __all__ = [
+    "CacheMismatch",
     "PAYLOAD_FORMAT",
     "SweepStore",
     "compute_payload",
@@ -85,6 +83,10 @@ __all__ = [
     "sweep_store_stats",
     "write_payload_npz",
 ]
+
+class CacheMismatch(ValueError):
+    """A cached sweep is stale, corrupt, or disagrees with a fresh one."""
+
 
 #: Payload layout version; bump when the npz schema changes.  Format 2 adds
 #: the delta-re-sweep skeleton: the structural digest, the persisted GEMM

@@ -26,14 +26,12 @@ Results are bit-identical to :func:`repro.autotuner.tuner.sweep_op_reference`
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 from typing import Callable
 
 import numpy as np
 
 from repro import obs
-from repro.autotuner.cache import CacheMismatch
 from repro.hardware.cost_model import CostModel, KernelTime
 from repro.hardware.spec import GPUSpec
 from repro.ir.dims import DimEnv
@@ -49,6 +47,7 @@ from .memo import (
     sweep_memo_stats,
 )
 from .store import (
+    CacheMismatch,
     SweepStore,
     compute_payload,
     compute_payload_delta,
@@ -63,31 +62,10 @@ __all__ = [
     "sweep_from_payload",
     "load_or_compute_payload",
     "delta_payload_from_store",
-    "delta_enabled",
-    "set_delta_enabled",
     "contraction_time_split",
     "clear_sweep_memo",
     "sweep_memo_stats",
 ]
-
-#: Environment variable gating the delta re-sweep path ("0"/"false" disables).
-DELTA_ENV_VAR = "REPRO_DELTA_SWEEP"
-
-_delta_override: bool | None = None
-
-
-def set_delta_enabled(enabled: bool | None) -> None:
-    """Force the delta re-sweep path on/off; ``None`` re-reads the env var."""
-    global _delta_override
-    _delta_override = enabled
-
-
-def delta_enabled() -> bool:
-    """Whether structural-twin delta re-sweeps are enabled (default: yes)."""
-    if _delta_override is not None:
-        return _delta_override
-    raw = os.environ.get(DELTA_ENV_VAR, "").strip().lower()
-    return raw not in ("0", "false", "no", "off")
 
 
 def delta_payload_from_store(
@@ -104,12 +82,12 @@ def delta_payload_from_store(
     Probes the store's structural sidecar for a payload that differs from
     this sweep only in dim sizes and re-evaluates its persisted skeleton at
     the new sizes (:func:`compute_payload_delta`) — bit-identical to a cold
-    sweep, minus the enumeration work.  Returns ``None`` when the path is
-    disabled, no twin exists, or the twin turns out unusable; the caller
+    sweep, minus the enumeration work.  Returns ``None`` when there is no
+    store, no twin exists, or the twin turns out unusable; the caller
     falls back to a cold sweep.  Does **not** save the result: callers
     persist it under the new exact digest themselves.
     """
-    if store is None or not delta_enabled():
+    if store is None:
         return None
     structural = structural_sweep_digest(op, env, gpu, cap=cap, seed=seed)
     base = store.load_structural(structural)

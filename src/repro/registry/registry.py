@@ -8,7 +8,7 @@ or the daemon's own background revalidation — either sees the previous
 complete entry or the new complete entry, never a torn one.  ``load``
 verifies three digests agree (the filename, the entry's recorded digest,
 and the digest recomputed from the entry's own problem tuple) and raises
-:class:`RegistryError` — a :class:`~repro.autotuner.cache.CacheMismatch`
+:class:`RegistryError` — a :class:`~repro.engine.store.CacheMismatch`
 — on any corruption, truncation or tampering; callers report and
 re-register, never silently reuse.
 
@@ -28,7 +28,7 @@ import time
 from pathlib import Path
 
 from repro import __version__
-from repro.autotuner.cache import CacheMismatch
+from repro.engine.store import CacheMismatch
 from repro.engine.store import get_sweep_store, sweep_digest
 from repro.hardware.cost_model import CostModel
 from repro.hardware.params import active_cost_model_version

@@ -10,9 +10,10 @@ consumer was a batch process.  This package turns the engine into a
   (op signature, dim sizes, GPUSpec, sampling knobs), so the wire key and
   the store key are the same object: a request digested on the wire hits
   the same L2 entry a batch run would have written.
-* :mod:`repro.service.coalesce` — single-flight request coalescing and the
-  bounded in-memory payload cache (the service's L1).  N concurrent
-  requests for one digest trigger exactly one evaluation.
+* :mod:`repro.service.coalesce` — single-flight request coalescing: N
+  concurrent requests for one digest trigger exactly one evaluation.  In
+  front of it, each service keeps its own digest-keyed L1, an instance of
+  the engine's bounded LRU (:class:`repro.engine.memo.BoundedCache`).
 * :mod:`repro.service.metrics` — per-tier hit counters and p50/p95/p99
   request latencies, served at ``GET /metrics``.
 * :mod:`repro.service.server` — the ``ThreadingHTTPServer`` daemon:
@@ -41,7 +42,7 @@ response derived from a fresh scalar reference sweep.
 """
 
 from .client import ServiceError, TuningClient
-from .coalesce import BoundedCache, SingleFlight
+from .coalesce import SingleFlight
 from .metrics import ServiceMetrics
 from .protocol import (
     PROTOCOL_VERSION,
@@ -55,7 +56,6 @@ from .protocol import (
 from .server import NotFoundError, RegistrationRejected, TuningService, make_server
 
 __all__ = [
-    "BoundedCache",
     "NotFoundError",
     "PROTOCOL_VERSION",
     "ProtocolError",

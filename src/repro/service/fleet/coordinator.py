@@ -303,7 +303,6 @@ class FleetService(TuningService):
                 selection = None
             select_s = perf_counter() - t0
             self.metrics.record_optimize_breakdown(sweep_s, select_s)
-            self._bound_engine_memo()
             return optimize_response_from_sweeps(
                 graph, sweeps, digest=digest, selection=selection
             )

@@ -48,11 +48,12 @@ client's ``traceparent`` header when present, so a traced request through
 the fleet yields one connected cross-process tree.  With tracing off
 (the default) the span machinery is a shared no-op object.
 
-The request path never touches the engine's unbounded process memo: sweep
-payloads live in the service's :class:`~repro.service.coalesce.BoundedCache`.
-Whole-graph optimization does route through the scheduler (which memoizes
-per-op sweeps in L1), so the service clears the engine memo whenever it
-grows past ``memo_limit`` entries — a long-lived daemon stays bounded.
+Every in-process cache the daemon touches is a bounded LRU
+(:class:`~repro.engine.memo.BoundedCache`): sweep payloads and optimize
+responses live in the service's own digest-keyed L1, and whole-graph
+optimization routes through the scheduler, whose per-op sweep memo is the
+engine's instance of the same class.  A long-lived daemon therefore stays
+bounded by construction.
 """
 
 from __future__ import annotations
@@ -68,11 +69,11 @@ from time import monotonic, perf_counter, time
 from typing import BinaryIO
 
 from repro import __version__, obs
-from repro.autotuner.cache import CacheMismatch
-from repro.engine.memo import clear_sweep_memo, sweep_memo_stats
+from repro.engine.memo import BoundedCache
 from repro.engine.scheduler import DISABLE_STORE, sweep_graph
 from repro.engine.store import (
     PAYLOAD_FORMAT,
+    CacheMismatch,
     SweepStore,
     compute_payload,
     get_sweep_store,
@@ -84,7 +85,7 @@ from repro.hardware.params import active_cost_model_version
 from repro.obs.export import trace_tree
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, wants_prometheus
 
-from .coalesce import BoundedCache, SingleFlight
+from .coalesce import SingleFlight
 from .fleet.faults import FaultInjector
 from .metrics import ServiceMetrics
 from .protocol import (
@@ -124,6 +125,9 @@ MAX_SWEEP_CONFIGS = 200_000
 #: Largest per-op cap accepted by ``/v1/optimize`` (whole graphs contain
 #: fused kernels whose uncapped spaces are ~1e10 configurations).
 MAX_OPTIMIZE_CAP = 20_000
+
+#: Entry bound of each service's L1 (sweep payloads and optimize responses).
+L1_ENTRIES = 1024
 
 #: How long a coalesced follower waits on the leading evaluation before
 #: failing its own request — a hung leader must not park waiters forever.
@@ -170,8 +174,6 @@ class TuningService:
         store: SweepStore | None | object = _UNSET,
         registry=_UNSET,
         jobs: int | None = None,
-        cache_entries: int = 1024,
-        memo_limit: int = 4096,
         faults: FaultInjector | None | object = _UNSET,
         warm: bool = True,
         calibration_dir=_UNSET,
@@ -192,8 +194,7 @@ class TuningService:
             faults = FaultInjector.from_env()
         self.faults: FaultInjector | None = faults  # type: ignore[assignment]
         self.jobs = jobs
-        self.memo_limit = memo_limit
-        self.cache = BoundedCache(cache_entries)
+        self.cache = BoundedCache(L1_ENTRIES)
         self.flights = SingleFlight()
         self.metrics = ServiceMetrics()
         # How this process labels its spans/metrics in a fleet trace; the
@@ -297,11 +298,6 @@ class TuningService:
         self.metrics.record_tier(tier)
         obs.set_attr("resolve.tier", tier)
         return value
-
-    def _bound_engine_memo(self) -> None:
-        """Keep the engine's (unbounded) L1 memo finite in a daemon."""
-        if sweep_memo_stats()["size"] > self.memo_limit:
-            clear_sweep_memo()
 
     # -- endpoint bodies -----------------------------------------------------
     def _resolve_sweep(self, req, digest: str) -> dict:
@@ -465,9 +461,8 @@ class TuningService:
                 store=self.store if self.store is not None else DISABLE_STORE,
             )
             sweep_s = perf_counter() - t0
-            # Global configuration selection on the swept graph (the
-            # vectorized fast path unless REPRO_CONFIGSEL_FAST=0).  Not
-            # every requestable graph has a primary chain from "x"; those
+            # Global configuration selection on the swept graph.  Not every
+            # requestable graph has a primary chain from "x"; those
             # responses simply carry no selection section.
             t0 = perf_counter()
             try:
@@ -478,7 +473,6 @@ class TuningService:
                 selection = None
             select_s = perf_counter() - t0
             self.metrics.record_optimize_breakdown(sweep_s, select_s)
-            self._bound_engine_memo()
             return optimize_response_from_sweeps(
                 graph, sweeps, digest=digest, selection=selection
             )
@@ -574,7 +568,6 @@ class TuningService:
             raise ProtocolError(
                 f"model {req.model!r} admits no global selection: {exc}"
             ) from exc
-        self._bound_engine_memo()
         return build_entry(
             graph,
             req.env,

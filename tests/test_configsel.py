@@ -262,19 +262,6 @@ class TestFastPath:
         )
         assert fast == scalar
 
-    def test_env_escape_hatch(self, fused_encoder, encoder_sweeps, monkeypatch):
-        from repro.configsel.selector import FAST_ENV_VAR
-
-        monkeypatch.setenv(FAST_ENV_VAR, "0")
-        via_env = select_configurations(
-            fused_encoder, ENV, COST, sweeps=encoder_sweeps, cap=400
-        )
-        monkeypatch.setenv(FAST_ENV_VAR, "1")
-        via_fast = select_configurations(
-            fused_encoder, ENV, COST, sweeps=encoder_sweeps, cap=400
-        )
-        assert via_env == via_fast
-
     def test_chain_matrices_match_config_graph(self, fused_encoder, encoder_sweeps):
         """Every finite matrix cell is exactly one scalar-graph edge."""
         from repro.configsel.selector import _SOURCE, _TARGET, build_config_graph

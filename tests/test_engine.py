@@ -1,10 +1,5 @@
-"""Tests for the batched sweep engine: memoization, laziness, cache versioning."""
+"""Tests for the batched sweep engine: memoization and laziness."""
 
-import json
-
-import pytest
-
-from repro.autotuner.cache import CacheMismatch, load_sweep, sweep_from_dict, sweep_to_dict
 from repro.autotuner.tuner import (
     ConfigMeasurement,
     SweepResult,
@@ -13,9 +8,10 @@ from repro.autotuner.tuner import (
     sweep_op_reference,
 )
 from repro.engine import clear_sweep_memo, sweep_memo_stats
+from repro.engine.memo import SWEEP_MEMO_ENTRIES, memo_get, memo_put
 from repro.engine.sweep import PreSortedMeasurements
 from repro.engine.sweep import sweep_op as engine_sweep_op
-from repro.hardware.cost_model import COST_MODEL_VERSION, CostModel, KernelTime
+from repro.hardware.cost_model import CostModel, KernelTime
 from repro.ir.dims import bert_large_dims, small_test_dims
 from repro.ir.tensor import TensorSpec
 from repro.layouts.config import OpConfig
@@ -94,6 +90,24 @@ class TestMemo:
         b = engine_sweep_op(op, ENV, COST, cap=2000)
         assert a is b  # contraction sweeps are exhaustive; cap never applies
 
+    def test_memo_keeps_most_recently_used_past_the_bound(self):
+        clear_sweep_memo()
+        op = _bias_op()
+        sweep = engine_sweep_op(op, ENV, COST, cap=120)
+        fillers = [("filler", i) for i in range(SWEEP_MEMO_ENTRIES + 10)]
+        for key in fillers[: SWEEP_MEMO_ENTRIES - 1]:
+            memo_put(key, sweep)
+        # A hit refreshes the real sweep, so the next puts evict fillers.
+        assert engine_sweep_op(op, ENV, COST, cap=120) is sweep
+        for key in fillers[SWEEP_MEMO_ENTRIES - 1 :]:
+            memo_put(key, sweep)
+        assert sweep_memo_stats()["size"] == SWEEP_MEMO_ENTRIES
+        assert engine_sweep_op(op, ENV, COST, cap=120) is sweep
+        evicted = len(fillers) + 1 - SWEEP_MEMO_ENTRIES
+        assert all(memo_get(key) is None for key in fillers[:evicted])
+        assert all(memo_get(key) is sweep for key in fillers[evicted:])
+        clear_sweep_memo()
+
 
 class TestLaziness:
     def test_best_materializes_one_measurement(self):
@@ -121,36 +135,6 @@ class TestLaziness:
         head = s.measurements[:5]
         assert [m.total_us for m in head] == s.times_us()[:5]
         assert s.measurements[-1].total_us == s.worst.total_us
-
-
-class TestCacheVersioning:
-    def test_artifacts_carry_version(self):
-        s = sweep_op(_bias_op(), ENV, COST, cap=60)
-        assert sweep_to_dict(s)["cost_model_version"] == COST_MODEL_VERSION
-
-    def test_version_mismatch_rejected(self):
-        op = _bias_op()
-        data = sweep_to_dict(sweep_op(op, ENV, COST, cap=60))
-        data["cost_model_version"] = COST_MODEL_VERSION + 1
-        with pytest.raises(CacheMismatch, match="cost model version"):
-            sweep_from_dict(data, op)
-
-    def test_unversioned_legacy_artifact_rejected(self):
-        op = _bias_op()
-        data = sweep_to_dict(sweep_op(op, ENV, COST, cap=60))
-        del data["cost_model_version"]
-        with pytest.raises(CacheMismatch):
-            sweep_from_dict(data, op)
-
-    def test_version_mismatch_rejected_on_file_load(self, tmp_path):
-        op = _bias_op()
-        sweep = sweep_op(op, ENV, COST, cap=60)
-        data = sweep_to_dict(sweep)
-        data["cost_model_version"] = "stale"
-        path = tmp_path / "stale.json"
-        path.write_text(json.dumps(data))
-        with pytest.raises(CacheMismatch):
-            load_sweep(path, op)
 
 
 class TestOperandLayoutQueries:

@@ -17,14 +17,13 @@ import pytest
 
 from repro import __version__
 from repro.autotuner.tuner import sweep_op_reference
-from repro.engine import clear_sweep_memo, sweep_digest
+from repro.engine import BoundedCache, clear_sweep_memo, sweep_digest
 from repro.engine.store import SweepStore, compute_payload
 from repro.fusion import apply_paper_fusion
 from repro.hardware.cost_model import COST_MODEL_VERSION, CostModel
 from repro.hardware.spec import A100, V100
 from repro.ir.dims import bert_large_dims
 from repro.service import (
-    BoundedCache,
     ProtocolError,
     ServiceError,
     SingleFlight,
@@ -502,13 +501,6 @@ class TestTieredResolution:
         assert svc.handle_optimize(body) == resp
         assert svc.metrics.snapshot()["optimize_breakdown"]["computed"] == 1
 
-    def test_engine_memo_stays_bounded(self):
-        from repro.engine.memo import sweep_memo_stats
-
-        svc = TuningService(store=None, memo_limit=0)
-        svc.handle_optimize({"model": "mha", "include_backward": False, "cap": CAP})
-        assert sweep_memo_stats()["size"] == 0  # cleared past the limit
-
     def test_oversized_sweep_request_rejected_not_attempted(self):
         # The AIB fused kernel's uncapped space is ~1e10 configurations;
         # serving it cold would OOM the daemon.
@@ -833,23 +825,6 @@ class TestDeltaTier:
         svc2 = TuningService(store=SweepStore(tmp_path), registry=None)
         svc2.handle_sweep(sweep_request_wire(op, perturbed, cap=CAP, seed=31))
         assert svc2.metrics.tier_counts()["l2"] == 1
-
-    def test_delta_disabled_falls_back_to_cold(self, tmp_path):
-        from repro.engine import set_delta_enabled
-
-        op, _ = _ops()
-        store = SweepStore(tmp_path)
-        svc = TuningService(store=store, registry=None)
-        svc.handle_sweep(sweep_request_wire(op, bert_large_dims(), cap=CAP, seed=32))
-        set_delta_enabled(False)
-        try:
-            svc.handle_sweep(
-                sweep_request_wire(op, bert_large_dims(seq=513), cap=CAP, seed=32)
-            )
-        finally:
-            set_delta_enabled(None)
-        tiers = svc.metrics.tier_counts()
-        assert tiers["delta"] == 0 and tiers["computed"] == 2
 
 
 class TestClientErrorSurfacing:

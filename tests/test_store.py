@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import repro.engine.store as store_mod
-from repro.autotuner.cache import CacheMismatch
 from repro.autotuner.tuner import sweep_op_reference
 from repro.engine import (
     clear_sweep_memo,
@@ -23,6 +22,7 @@ from repro.engine import (
     sweep_store_stats,
 )
 from repro.engine.store import (
+    CacheMismatch,
     SweepStore,
     compute_payload,
     get_sweep_store,
@@ -518,34 +518,6 @@ class TestDeltaResweep:
             sweep_op_reference(contraction, env513, COST, cap=100, seed=6),
             sweep_from_payload(contraction, store.load(d513)),
         )
-
-    def test_delta_disabled_by_env_and_override(self, tmp_path, monkeypatch):
-        from repro.engine.sweep import (
-            DELTA_ENV_VAR,
-            delta_enabled,
-            delta_payload_from_store,
-            set_delta_enabled,
-        )
-
-        contraction, _ = _ops()
-        store = SweepStore(tmp_path)
-        env512 = bert_large_dims(seq=512)
-        env513 = bert_large_dims(seq=513)
-        d512 = sweep_digest(contraction, env512, GPU, cap=100, seed=8)
-        store.save(d512, compute_payload(contraction, env512, GPU, cap=100, seed=8))
-        monkeypatch.setenv(DELTA_ENV_VAR, "0")
-        assert not delta_enabled()
-        assert delta_payload_from_store(
-            contraction, env513, GPU, cap=100, seed=8, store=store
-        ) is None
-        set_delta_enabled(True)  # explicit override beats the env var
-        try:
-            assert delta_enabled()
-            assert delta_payload_from_store(
-                contraction, env513, GPU, cap=100, seed=8, store=store
-            ) is not None
-        finally:
-            set_delta_enabled(None)
 
     def test_knob_change_is_not_a_structural_twin(self, tmp_path):
         from repro.engine.sweep import delta_payload_from_store
