@@ -9,9 +9,9 @@ discipline one more level down:
   record changes nothing; the caller gets a structured rejection and the
   store's bytes are untouched;
 * **append is atomic at line granularity** — all accepted records are
-  serialized into one buffer and written with a single ``write`` +
-  ``flush`` + ``fsync``, so a crash mid-batch leaves at most one torn
-  *final* line;
+  serialized into one buffer and written by one
+  :func:`repro.durable.durable_append` (``write`` + ``flush`` +
+  ``fsync``), so a crash mid-batch leaves at most one torn *final* line;
 * **torn tails are tolerated, corruption is not** — a final partial line
   (the crash signature) is silently dropped on load; a malformed or
   digest-mismatched line *before* the tail means the file was edited and
@@ -32,6 +32,7 @@ import threading
 from pathlib import Path
 
 from repro.analysis.calibration import PAPER_TABLE3_US
+from repro.durable import durable_append
 
 __all__ = [
     "CALIBRATION_DIR_ENV_VAR",
@@ -143,8 +144,9 @@ class FeedbackStore:
         """Durably append already-validated canonical records, all-or-nothing.
 
         Each record gains its content ``digest`` before writing; the whole
-        batch is one buffered write + fsync, so a crash can tear only the
-        final line — which :meth:`load` tolerates.
+        batch is one :func:`~repro.durable.durable_append` (write + fsync),
+        so a crash can tear only the final line — which :meth:`load`
+        tolerates.
         """
         stamped = []
         for record in records:
@@ -155,15 +157,11 @@ class FeedbackStore:
             if self.root is None:
                 self._memory.extend(stamped)
                 return len(stamped)
-            self.root.mkdir(parents=True, exist_ok=True)
             blob = "".join(
                 json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
                 for rec in stamped
             ).encode("utf-8")
-            with open(self.path, "ab") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
+            durable_append(self.path, blob)
         return len(stamped)
 
     # -- reading -------------------------------------------------------------

@@ -15,8 +15,9 @@ A candidate cost model never serves until it has survived two gates:
   point does the candidate's number reach a client.
 * **PROMOTE** — the only step that changes what serves, and it is built
   around a single atomic commit point: the journaled intent is written,
-  then the new state file lands via temp-file + ``os.replace``, then the
-  parameters are installed in-process.  A crash anywhere leaves the disk
+  then the new state file lands via :func:`repro.durable.atomic_write`
+  (fsynced temp file + ``os.replace``), then the parameters are
+  installed in-process.  A crash anywhere leaves the disk
   state on exactly one side of the commit — recovery re-reads the state
   file and serves exactly one of {prior, promoted}, which the chaos suite
   kills processes to prove.  Promotion bumps the served version, which
@@ -25,18 +26,19 @@ A candidate cost model never serves until it has survived two gates:
 * **ROLLBACK** — metadata-only: the candidate is discarded and the state
   returns to idle.  Nothing to undo, because nothing was installed.
 
-Every transition is journaled (append + fsync) for the audit trail; the
-state *file* is the single recovery authority.
+Every transition is journaled (:func:`repro.durable.durable_append`:
+append + fsync) for the audit trail; the state *file* is the single
+recovery authority.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 from pathlib import Path
 
+from repro.durable import atomic_write, durable_append
 from repro.hardware.params import (
     DEFAULT_PARAMS,
     EfficiencyParams,
@@ -196,30 +198,16 @@ class RolloutManager:
         """Atomically persist the current state (the promote commit point)."""
         if self.root is None:
             return
-        self.root.mkdir(parents=True, exist_ok=True)
         blob = json.dumps(self._state, sort_keys=True, indent=1).encode("utf-8")
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.state_path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with atomic_write(self.state_path, fsync=True) as fh:
+            fh.write(blob)
 
     def _journal(self, event: dict) -> None:
         if self.root is None:
             self._journal_memory.append(event)
             return
-        self.root.mkdir(parents=True, exist_ok=True)
         line = json.dumps(event, sort_keys=True) + "\n"
-        with open(self.journal_path, "ab") as fh:
-            fh.write(line.encode("utf-8"))
-            fh.flush()
-            os.fsync(fh.fileno())
+        durable_append(self.journal_path, line.encode("utf-8"))
 
     def journal_events(self) -> list[dict]:
         if self.root is None:

@@ -37,8 +37,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
+from contextlib import suppress
 from dataclasses import asdict
 from functools import lru_cache
 from math import prod
@@ -47,6 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
+from repro.durable import atomic_write
 from repro.hardware.efficiency import contraction_layout_units
 from repro.hardware.params import active_cost_model_version
 from repro.hardware.spec import GPUSpec
@@ -623,15 +624,17 @@ class SweepStore:
     Counter updates and eviction hold an internal lock: the tuning daemon
     shares one store across its handler threads.
 
-    A sidecar JSON map (``structural.json``) indexes structural digests to
-    the exact digest most recently saved under each, so a delta-re-sweep
-    lookup never scans the directory.  The index is maintained on every
-    save and eviction; a stale entry (its npz pruned externally) is
-    self-healing — dropped on the first failed lookup.
+    Every file lands through :func:`repro.durable.atomic_write` (temp file
+    + ``os.replace``, no fsync: a lost entry is only a recompute).  Beside
+    each npz, one small *link* file per structural digest,
+    ``structural/<structural digest>``, holds the exact digest of the twin
+    saved most recently under it, so a delta-re-sweep lookup never scans
+    the directory.  Links are read on every probe and never cached, and
+    each save replaces only its own link, so handles in any number of
+    processes sharing one directory never erase each other's entries.  A
+    link left dangling by eviction or an external prune is removed by the
+    first probe that finds it unusable.
     """
-
-    #: Sidecar file mapping structural digest -> exact digest of a twin.
-    INDEX_NAME = "structural.json"
 
     def __init__(self, root: str | Path, *, max_bytes: int | None = None) -> None:
         # expanduser: tilde paths arrive unexpanded from CI yaml env blocks,
@@ -642,8 +645,6 @@ class SweepStore:
         self.max_bytes = max_bytes
         self._lock = threading.Lock()  # counters only: held briefly
         self._evict_lock = threading.Lock()  # serializes budget scans
-        self._index_lock = threading.Lock()  # guards the structural index
-        self._index: dict[str, str] | None = None  # lazily loaded sidecar
         self.hits = 0
         self.misses = 0
         self.saves = 0
@@ -656,7 +657,8 @@ class SweepStore:
 
     @property
     def index_path(self) -> Path:
-        return self.root / self.INDEX_NAME
+        """The directory of structural links (one file per structural digest)."""
+        return self.root / "structural"
 
     def __contains__(self, digest: str) -> bool:
         return self.path_for(digest).exists()
@@ -710,29 +712,19 @@ class SweepStore:
         """Atomically persist one payload under its digest.
 
         Serialization lives in :func:`write_payload_npz`; this adds the
-        atomic tmp-then-replace dance, counters, the structural sidecar
-        update and budget eviction.
+        atomic write, counters, the structural link and budget eviction.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(digest)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                write_payload_npz(fh, digest, payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with atomic_write(path) as fh:
+            write_payload_npz(fh, digest, payload)
         with self._lock:
             self.saves += 1
         structural = payload.get("structural")
         if isinstance(structural, str) and structural:
-            with self._index_lock:
-                index = self._load_index_locked()
-                if index.get(structural) != digest:
-                    index[structural] = digest
-                    self._persist_index_locked(index)
+            # The link is a pure accelerator: failing to write it only
+            # costs delta hits, never the save.
+            with suppress(OSError), atomic_write(self.index_path / structural) as fh:
+                fh.write(digest.encode("ascii"))
         if self.max_bytes is not None:
             # Own lock: the O(entries) directory scan must not block the
             # counter updates of concurrent loads.
@@ -740,87 +732,38 @@ class SweepStore:
                 self._evict_over_budget(keep=path)
         return path
 
-    # -- structural sidecar index ------------------------------------------
-
-    def _load_index_locked(self) -> dict[str, str]:
-        """The structural map; lazily read.  Caller holds ``_index_lock``."""
-        if self._index is None:
-            try:
-                raw = json.loads(self.index_path.read_text())
-                # A corrupt or foreign file degrades to an empty map — the
-                # index is a pure accelerator, npz entries stay canonical.
-                self._index = {
-                    k: v
-                    for k, v in raw.items()
-                    if isinstance(k, str) and isinstance(v, str)
-                } if isinstance(raw, dict) else {}
-            except (OSError, ValueError):
-                self._index = {}
-        return self._index
-
-    def _persist_index_locked(self, index: dict[str, str]) -> None:
-        """Atomically rewrite the sidecar.  Caller holds ``_index_lock``.
-
-        Last-writer-wins across processes: a clobbered mapping merely
-        points a structural digest at a different (equally valid) twin,
-        and a stale one self-heals in :meth:`load_structural`.
-        """
-        try:
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(index, fh, sort_keys=True)
-                os.replace(tmp, self.index_path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
-        except OSError:  # pragma: no cover - read-only stores are fine
-            pass
-
-    def _drop_index_entries(self, exact_digests: set[str]) -> None:
-        """Drop sidecar entries pointing at the given exact digests."""
-        if not exact_digests:
-            return
-        with self._index_lock:
-            index = self._load_index_locked()
-            stale = [k for k, v in index.items() if v in exact_digests]
-            if stale:
-                for k in stale:
-                    del index[k]
-                self._persist_index_locked(index)
-
     def load_structural(self, structural: str) -> dict | None:
         """A validated skeleton payload twin to ``structural``, or None.
 
         Read in skeleton-only mode: the base sweep's *times* are dead
         weight for a delta re-sweep (they are recomputed at the new dim
         sizes), so the time matrix is never deserialized and the returned
-        payload must only feed :func:`compute_payload_delta`.  Any failure
-        — missing index entry, pruned npz, corrupt or version-mismatched
-        payload, structural-digest mismatch — drops the sidecar entry and
-        returns ``None``; the caller falls back to a cold sweep.
-        Deliberately does not touch hits/misses: those count exact lookups,
-        and a structural probe always follows an exact miss.
+        payload must only feed :func:`compute_payload_delta`.  A missing
+        link returns ``None``; any other failure — unreadable link, pruned
+        or evicted npz, corrupt or version-mismatched payload,
+        structural-digest mismatch — also removes the link.  Either way the
+        caller falls back to a cold sweep.  Deliberately does not touch
+        hits/misses: those count exact lookups, and a structural probe
+        always follows an exact miss.
         """
-        with self._index_lock:
-            exact = self._load_index_locked().get(structural)
-        if exact is None:
-            return None
-        path = self.path_for(exact)
+        link = self.index_path / structural
         try:
+            exact = link.read_bytes().decode("ascii")
+            path = self.path_for(exact)
             payload = read_payload_npz(path, skeleton_only=True)
             _validate_payload(payload, exact, path, skeleton_only=True)
             if payload.get("structural") != structural:
                 raise CacheMismatch(
-                    f"sidecar entry {structural[:12]} points at {path} whose "
+                    f"link {structural[:12]} points at {path} whose "
                     f"structural digest differs"
                 )
         except Exception:
-            self._drop_index_entries({exact})
+            with suppress(OSError):
+                link.unlink()
             return None
         try:
             os.utime(path)
+            os.utime(link)
         except OSError:  # pragma: no cover - read-only stores are fine
             pass
         return payload
@@ -858,7 +801,6 @@ class SweepStore:
         if total <= self.max_bytes:
             return
         entries.sort(key=lambda e: (e[0], e[2].name))
-        evicted: set[str] = set()
         for mtime, size, path in entries:
             if total <= self.max_bytes:
                 break
@@ -869,13 +811,9 @@ class SweepStore:
             except OSError:  # pragma: no cover - raced with another process
                 continue
             total -= size
-            evicted.add(path.stem)
             with self._lock:
                 self.evictions += 1
             obs.add_event("store.evict", digest=path.stem)
-        # Evicting an npz also drops its structural sidecar entry, so a
-        # structural lookup never dereferences a digest known to be gone.
-        self._drop_index_entries(evicted)
 
     @staticmethod
     def _read(path: Path) -> dict:

@@ -2,8 +2,8 @@
 written, strictly verified on load.
 
 Mirrors the sweep store's contract one level up.  ``register`` writes the
-canonical entry bytes to a temp file and ``os.replace``s it into place, so
-a reader — a CLI ``repro validate`` racing the daemon's ``/v1/register``,
+canonical entry bytes through :func:`repro.durable.atomic_write`, so a
+reader — a CLI ``repro validate`` racing the daemon's ``/v1/register``,
 or the daemon's own background revalidation — either sees the previous
 complete entry or the new complete entry, never a torn one.  ``load``
 verifies three digests agree (the filename, the entry's recorded digest,
@@ -22,12 +22,12 @@ travel together (the nightly CI caches both under one path).
 from __future__ import annotations
 
 import os
-import tempfile
 import threading
 import time
 from pathlib import Path
 
 from repro import __version__
+from repro.durable import atomic_write
 from repro.engine.store import CacheMismatch
 from repro.engine.store import get_sweep_store, sweep_digest
 from repro.hardware.cost_model import CostModel
@@ -90,22 +90,14 @@ class ScheduleRegistry:
     def register(self, entry: ScheduleEntry) -> Path:
         """Atomically persist one entry under its digest.
 
-        The write is temp-file + ``os.replace``: concurrent readers never
-        observe a partial entry, and re-registering a digest atomically
-        replaces the previous answer (same problem, refreshed provenance).
+        The write is :func:`repro.durable.atomic_write` (no fsync, like the
+        sweep store): concurrent readers never observe a partial entry, and
+        re-registering a digest atomically replaces the previous answer
+        (same problem, refreshed provenance).
         """
         path = self.path_for(entry.digest)
-        self.root.mkdir(parents=True, exist_ok=True)
-        blob = entry.to_bytes()
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with atomic_write(path) as fh:
+            fh.write(entry.to_bytes())
         with self._lock:
             self.registered += 1
         return path

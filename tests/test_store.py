@@ -8,6 +8,7 @@ and the ``sweep_op`` / active-store integration.
 from __future__ import annotations
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -399,7 +400,7 @@ class TestEviction:
 
 
 class TestStructuralIndex:
-    """The sidecar map from structural digests to exact-digest twins."""
+    """The per-structural-digest link files pointing at exact-digest twins."""
 
     def _warm(self, store, *, seq=512, cap=100, seed=3):
         contraction, _ = _ops()
@@ -414,13 +415,16 @@ class TestStructuralIndex:
     def test_save_maintains_the_sidecar(self, tmp_path):
         store = SweepStore(tmp_path)
         _, _, digest, structural = self._warm(store)
-        assert json.loads(store.index_path.read_text()) == {structural: digest}
+        assert [p.name for p in store.index_path.iterdir()] == [structural]
+        # A fresh handle over the same directory hits through the link.
+        payload = SweepStore(tmp_path).load_structural(structural)
+        assert payload is not None and payload["digest"] == digest
 
     def test_structural_lookup_never_scans_the_directory(self, tmp_path):
         store = SweepStore(tmp_path)
         _, _, digest, structural = self._warm(store)
         # A fresh store object over the same directory resolves purely
-        # through the sidecar file.
+        # through the link file.
         fresh = SweepStore(tmp_path)
         payload = fresh.load_structural(structural)
         assert payload is not None
@@ -433,8 +437,9 @@ class TestStructuralIndex:
         _, _, d512, s512 = self._warm(store, seq=512)
         _, _, d513, s513 = self._warm(store, seq=513)
         assert s512 == s513 and d512 != d513
-        # Last writer wins: the sidecar points at the newest twin.
-        assert json.loads(store.index_path.read_text()) == {s512: d513}
+        # Last writer wins: the one link points at the newest twin.
+        assert [p.name for p in store.index_path.iterdir()] == [s512]
+        assert SweepStore(tmp_path).load_structural(s512)["digest"] == d513
 
     def test_eviction_drops_the_sidecar_entry(self, tmp_path):
         store = SweepStore(tmp_path)
@@ -445,38 +450,86 @@ class TestStructuralIndex:
 
         bounded = SweepStore(tmp_path, max_bytes=size)
         os.utime(store.path_for(digest), (time.time() - 300, time.time() - 300))
-        # Saving a structurally different op over budget evicts the old npz
-        # and must drop its sidecar entry with it.
+        # Saving a structurally different op over budget evicts the old npz;
+        # its link is left dangling until the next probe drops it.
         _, kernel = _ops()
         kd = sweep_digest(kernel, ENV, GPU, cap=40, seed=0)
         bounded.save(kd, compute_payload(kernel, ENV, GPU, cap=40, seed=0))
         assert not store.path_for(digest).exists()
-        assert structural not in json.loads(store.index_path.read_text())
         assert bounded.load_structural(structural) is None
+        assert not (store.index_path / structural).exists()
 
     def test_stale_sidecar_entry_self_heals(self, tmp_path):
         store = SweepStore(tmp_path)
         _, _, digest, structural = self._warm(store)
         store.path_for(digest).unlink()  # pruned externally (nightly CI)
         assert store.load_structural(structural) is None
-        # The dangling mapping was dropped, not retried forever.
-        assert json.loads(store.index_path.read_text()) == {}
+        # The dangling link was dropped, not retried forever.
+        assert not (store.index_path / structural).exists()
 
     def test_corrupt_twin_is_dropped_not_served(self, tmp_path):
         store = SweepStore(tmp_path)
         _, _, digest, structural = self._warm(store)
         store.path_for(digest).write_bytes(b"garbage")
         assert store.load_structural(structural) is None
-        assert structural not in json.loads(store.index_path.read_text())
+        assert not (store.index_path / structural).exists()
 
     def test_corrupt_sidecar_degrades_to_empty(self, tmp_path):
         store = SweepStore(tmp_path)
         _, _, digest, structural = self._warm(store)
-        store.index_path.write_text("{not json")
+        (store.index_path / structural).write_bytes(b"\xff not a digest")
         fresh = SweepStore(tmp_path)
         assert fresh.load_structural(structural) is None
-        # The exact entry is untouched — the index is a pure accelerator.
+        assert not (store.index_path / structural).exists()
+        # The exact entry is untouched — the link is a pure accelerator.
         assert fresh.load(digest) is not None
+
+    def test_legacy_sidecar_map_is_ignored(self, tmp_path):
+        store = SweepStore(tmp_path)
+        _, _, digest, structural = self._warm(store)
+        shutil.rmtree(store.index_path)
+        # A store written before the link files still serves exact hits;
+        # its old map is never read, so the first delta probe runs cold.
+        (tmp_path / "structural.json").write_text(json.dumps({structural: digest}))
+        fresh = SweepStore(tmp_path)
+        assert fresh.load_structural(structural) is None
+        assert fresh.load(digest) is not None
+
+    def test_concurrent_handles_lose_no_links(self, tmp_path):
+        import sys
+        import threading
+
+        # 8 handles x 4 saves, each under its own structural digest (the
+        # seed binds the sampled kernel's rows): a shared rewrite loses some.
+        _, kernel = _ops()
+        jobs = [
+            [
+                (sweep_digest(kernel, ENV, GPU, cap=40, seed=s),
+                 compute_payload(kernel, ENV, GPU, cap=40, seed=s))
+                for s in range(4 * t, 4 * t + 4)
+            ]
+            for t in range(8)
+        ]
+
+        def run(job):
+            store = SweepStore(tmp_path)
+            for digest, payload in job:
+                store.save(digest, payload)
+
+        threads = [threading.Thread(target=run, args=(job,)) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        fresh = SweepStore(tmp_path)
+        for digest, payload in (pair for job in jobs for pair in job):
+            assert fresh.load_structural(payload["structural"])["digest"] == digest
 
 
 class TestDeltaResweep:
