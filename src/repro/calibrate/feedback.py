@@ -32,6 +32,7 @@ import threading
 from pathlib import Path
 
 from repro.analysis.calibration import PAPER_TABLE3_US
+from repro.digest import canonical_json_bytes, content_digest
 from repro.durable import durable_append
 
 __all__ = [
@@ -65,8 +66,7 @@ class FeedbackError(ValueError):
 def record_digest(record: dict) -> str:
     """The content digest of one canonical record (``digest`` excluded)."""
     body = {k: record[k] for k in _RECORD_FIELDS}
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return content_digest(body)
 
 
 def validate_record(
@@ -157,10 +157,7 @@ class FeedbackStore:
             if self.root is None:
                 self._memory.extend(stamped)
                 return len(stamped)
-            blob = "".join(
-                json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
-                for rec in stamped
-            ).encode("utf-8")
+            blob = b"".join(canonical_json_bytes(rec) + b"\n" for rec in stamped)
             durable_append(self.path, blob)
         return len(stamped)
 

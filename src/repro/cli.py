@@ -11,6 +11,11 @@ Usage::
     python -m repro optimize --batch 96 --seq 128
     python -m repro movement          # data-movement reduction report
 
+Flags follow their command (``repro optimize --batch 96``, not ``repro
+--batch 96 optimize``), and each command accepts only the flags it reads:
+``repro <command> --help`` lists them, and any other flag is a usage error
+(exit 2).
+
 Sweep caching and parallelism::
 
     python -m repro table5 --sweep-store ~/.cache/repro-sweeps --jobs 4
@@ -190,28 +195,69 @@ def _cmd_movement(args) -> None:
     )
 
 
-def _drain_deadline(args) -> float:
-    """``--drain-deadline``, else ``REPRO_DRAIN_DEADLINE_S``, else 10 s."""
-    if getattr(args, "drain_deadline", None) is not None:
-        return args.drain_deadline
-    import os
+def _cmd_serve(args) -> None:
+    """Run a tuning daemon until SIGINT/SIGTERM, then drain and exit 0.
 
-    raw = os.environ.get("REPRO_DRAIN_DEADLINE_S", "").strip()
-    return float(raw) if raw else 10.0
-
-
-def _serve_until_signaled(
-    server, service, *, name: str, drain_deadline_s: float, cleanup=None
-) -> None:
-    """Serve until SIGINT/SIGTERM, then drain gracefully and exit 0.
-
-    On SIGTERM: readiness flips off (``/readyz`` answers 503, so fleet
-    coordinators and load balancers stop routing here), the accept loop
-    stops, in-flight requests get ``drain_deadline_s`` to finish, and the
-    process prints ``<name>: clean shutdown`` on its way to exit code 0.
+    ``repro serve`` runs a standalone daemon (``args.role`` is None);
+    ``repro fleet serve`` runs a fleet coordinator, or a worker that
+    registers and heartbeats with one.  On SIGTERM: readiness flips off
+    (``/readyz`` answers 503, so fleet coordinators and load balancers
+    stop routing here), the accept loop stops, in-flight requests get the
+    drain deadline to finish, and the process prints
+    ``<name>: clean shutdown`` on its way to exit code 0.
     """
+    import os
     import signal
     import threading
+
+    from repro.service import TuningService, make_server
+
+    role = args.role
+    if role == "worker" and args.coordinator_url is None:
+        print("repro fleet serve: a worker needs --coordinator-url", file=sys.stderr)
+        raise SystemExit(2)
+    drain_deadline_s = args.drain_deadline
+    if drain_deadline_s is None:
+        raw = os.environ.get("REPRO_DRAIN_DEADLINE_S", "").strip()
+        drain_deadline_s = float(raw) if raw else 10.0
+
+    if role == "coordinator":
+        from repro.service.fleet.coordinator import (
+            FleetService,
+            make_fleet_server,
+        )
+
+        service = FleetService(warm=False)
+        server = make_fleet_server(service, args.host, args.port)
+    else:
+        service = TuningService(warm=False)
+        server = make_server(service, args.host, args.port)
+    service.start_warmup()
+    host, port = server.server_address[:2]
+    store = service.store
+    name = "repro-tuningd" if role is None else "repro-fleetd"
+    label = name if role is None else f"{name} {role}"
+    print(
+        f"{label} {__version__} (cost model v{COST_MODEL_VERSION}) "
+        f"listening on http://{host}:{port}"
+    )
+    print(f"sweep store: {store.root if store is not None else 'disabled'}")
+
+    agent = None
+    if role == "worker":
+        from repro.service.fleet.worker import WorkerAgent
+
+        agent = WorkerAgent(
+            args.coordinator_url,
+            args.advertise_url or f"http://{host}:{port}",
+            worker_id=args.worker_id,
+            service=service,
+        )
+        # Name the worker's spans/metrics after its fleet identity so the
+        # coordinator-assembled trace tree shows which member did the work.
+        service.service_name = f"worker:{agent.worker_id}"
+        agent.start()
+        print(f"fleet: registering {agent.worker_id} with {args.coordinator_url}")
 
     def _sigterm(signum, frame):  # pragma: no cover - signal plumbing
         # One-shot: a second TERM during the shutdown path must not
@@ -230,8 +276,10 @@ def _serve_until_signaled(
     finally:
         drained = server.drain(drain_deadline_s)
         server.server_close()
-        if cleanup is not None:
-            cleanup()
+        if agent is not None:
+            # Tell the coordinator we are leaving so our keys re-route
+            # now instead of after a TTL expiry.
+            agent.stop(deregister=True)
         if not drained:
             print(
                 f"{name}: drain deadline ({drain_deadline_s}s) expired with "
@@ -239,28 +287,6 @@ def _serve_until_signaled(
                 file=sys.stderr,
             )
         print(f"{name}: clean shutdown")
-
-
-def _cmd_serve(args) -> None:
-    """Run the tuning daemon until interrupted (SIGINT/SIGTERM)."""
-    from repro.service import TuningService, make_server
-
-    service = TuningService(warm=False)
-    service.start_warmup()
-    server = make_server(service, args.host, args.port)
-    host, port = server.server_address[:2]
-    store = service.store
-    print(
-        f"repro-tuningd {__version__} (cost model v{COST_MODEL_VERSION}) "
-        f"listening on http://{host}:{port}"
-    )
-    print(f"sweep store: {store.root if store is not None else 'disabled'}")
-    _serve_until_signaled(
-        server,
-        service,
-        name="repro-tuningd",
-        drain_deadline_s=_drain_deadline(args),
-    )
 
 
 def _cmd_query(args) -> None:
@@ -368,11 +394,6 @@ def _cmd_trace(args) -> int:
             print(f"repro trace: capture failed: {exc}", file=sys.stderr)
             return 2
         spans.extend(obs.get_tracer().trace(trace_id))
-    if trace_id is None:
-        print(
-            "repro trace: pass --trace-id ID or --capture", file=sys.stderr
-        )
-        return 2
     try:
         remote = client.trace(trace_id)
     except ServiceError as exc:
@@ -410,68 +431,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_fleet_serve(args) -> None:
-    """Run a fleet coordinator or worker daemon until signaled."""
-    from repro.service import TuningService, make_server
-
-    if args.role == "coordinator":
-        from repro.service.fleet.coordinator import (
-            FleetService,
-            make_fleet_server,
-        )
-
-        service = FleetService(warm=False)
-        server = make_fleet_server(service, args.host, args.port)
-    else:
-        service = TuningService(warm=False)
-        server = make_server(service, args.host, args.port)
-    service.start_warmup()
-    host, port = server.server_address[:2]
-    store = service.store
-    print(
-        f"repro-fleetd {args.role} {__version__} "
-        f"(cost model v{COST_MODEL_VERSION}) "
-        f"listening on http://{host}:{port}"
-    )
-    print(f"sweep store: {store.root if store is not None else 'disabled'}")
-
-    agent = None
-    if args.role == "worker":
-        if args.coordinator_url is None:
-            print(
-                "repro fleet serve: a worker needs --coordinator-url",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
-        from repro.service.fleet.worker import WorkerAgent
-
-        agent = WorkerAgent(
-            args.coordinator_url,
-            args.advertise_url or f"http://{host}:{port}",
-            worker_id=args.worker_id,
-            service=service,
-        )
-        # Name the worker's spans/metrics after its fleet identity so the
-        # coordinator-assembled trace tree shows which member did the work.
-        service.service_name = f"worker:{agent.worker_id}"
-        agent.start()
-        print(f"fleet: registering {agent.worker_id} with {args.coordinator_url}")
-
-    def _cleanup() -> None:
-        if agent is not None:
-            # Tell the coordinator we are leaving so our keys re-route
-            # now instead of after a TTL expiry.
-            agent.stop(deregister=True)
-
-    _serve_until_signaled(
-        server,
-        service,
-        name="repro-fleetd",
-        drain_deadline_s=_drain_deadline(args),
-        cleanup=_cleanup,
-    )
-
-
 def _cmd_fleet_status(args) -> int:
     """Print a coordinator's fleet view: workers, health, quarantines."""
     import json
@@ -491,78 +450,6 @@ def _cmd_fleet_status(args) -> int:
         f"ready ({counts.get('quarantined', 0)} quarantined)",
         file=sys.stderr,
     )
-    return 0
-
-
-def _fleet_main(argv: list[str]) -> int:
-    """``repro fleet <serve|status>`` — its own parser, shared options."""
-    parser = argparse.ArgumentParser(
-        prog="repro fleet",
-        description="Run or inspect the sharded tuning fleet.",
-    )
-    sub = parser.add_subparsers(dest="fleet_command", required=True)
-
-    serve = sub.add_parser(
-        "serve", help="run a coordinator or worker daemon"
-    )
-    serve.add_argument(
-        "--role", choices=("coordinator", "worker"), default="coordinator",
-        help="what this daemon is (default: coordinator)",
-    )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve.add_argument(
-        "--port", type=int, default=DEFAULT_PORT,
-        help=f"bind port (default {DEFAULT_PORT}; 0 = ephemeral)",
-    )
-    serve.add_argument(
-        "--coordinator-url", default=None, metavar="URL",
-        help="worker: coordinator to register with (required for workers)",
-    )
-    serve.add_argument(
-        "--worker-id", default=None, metavar="ID",
-        help="worker: stable identity on the hash ring "
-             "(default: a random worker-<hex> id)",
-    )
-    serve.add_argument(
-        "--advertise-url", default=None, metavar="URL",
-        help="worker: URL to announce to the coordinator "
-             "(default: the bound http://host:port)",
-    )
-    serve.add_argument(
-        "--sweep-store", default=None, metavar="DIR",
-        help="persistent sweep store directory "
-             "(default: REPRO_SWEEP_STORE or disabled)",
-    )
-    serve.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for cold sweeps (default: REPRO_JOBS)",
-    )
-    serve.add_argument(
-        "--drain-deadline", type=float, default=None, metavar="S",
-        help="SIGTERM: seconds to let in-flight requests finish "
-             "(default: REPRO_DRAIN_DEADLINE_S or 10)",
-    )
-
-    status = sub.add_parser(
-        "status", help="print a coordinator's fleet state"
-    )
-    status.add_argument(
-        "--url", default=f"http://127.0.0.1:{DEFAULT_PORT}",
-        help="base URL of a running coordinator",
-    )
-
-    args = parser.parse_args(argv)
-    if args.fleet_command == "status":
-        return _cmd_fleet_status(args)
-    if args.sweep_store is not None:
-        from repro.engine import set_sweep_store
-
-        set_sweep_store(args.sweep_store)
-    if args.jobs is not None:
-        from repro.engine import set_default_jobs
-
-        set_default_jobs(args.jobs)
-    _cmd_fleet_serve(args)
     return 0
 
 
@@ -619,18 +506,10 @@ def _cmd_validate(args) -> None:
     from repro.validation import validate_entry
 
     registry = _resolve_registry(args)
-    if args.digest is not None:
-        digests = [args.digest]
-    elif args.all:
-        digests = registry.digests()
-        if not digests:
-            print(f"repro validate: registry at {registry.root} is empty")
-            return
-    else:
-        print(
-            "repro validate: pass --digest DIGEST or --all", file=sys.stderr
-        )
-        raise SystemExit(2)
+    digests = [args.digest] if args.digest is not None else registry.digests()
+    if not digests:
+        print(f"repro validate: registry at {registry.root} is empty")
+        return
 
     failed = 0
     for digest in digests:
@@ -720,33 +599,67 @@ def _cmd_rollout(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "table1": _cmd_table1,
-    "table2": _cmd_table2,
-    "table3": _cmd_table3,
-    "table4": _cmd_table4,
-    "table5": _cmd_table5,
-    "optimize": _cmd_optimize,
-    "movement": _cmd_movement,
-    "roofline": _cmd_roofline,
-    "calibrate": _cmd_calibrate,
-    "serve": _cmd_serve,
-    "query": _cmd_query,
-    "trace": _cmd_trace,
-    "register": _cmd_register,
-    "validate": _cmd_validate,
-    "report": _cmd_report,
-    "rollout": _cmd_rollout,
-}
+def _build_parser() -> argparse.ArgumentParser:
+    """The whole command tree: each command declares only the flags it reads.
 
+    Flags shared by several commands come from the small parent parsers
+    below; a flag a command does not read is a usage error (exit 2).
+    """
 
-def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # ``fleet`` has subcommands of its own (serve/status), which the flat
-    # single-positional parser below cannot express — dispatch it first.
-    if argv and argv[0] == "fleet":
-        return _fleet_main(argv[1:])
+    def parent() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False)
+
+    dims = parent()
+    dims.add_argument("--batch", type=int, default=8, help="mini-batch size B")
+    dims.add_argument("--seq", type=int, default=512, help="sequence length L")
+    cap = parent()
+    cap.add_argument(
+        "--cap", type=int, default=400,
+        help="sampled-configuration cap for wide kernel sweeps",
+    )
+    graph = parent()
+    graph.add_argument(
+        "--model", choices=("mha", "encoder", "decoder"), default="encoder",
+        help="graph to tune",
+    )
+    graph.add_argument(
+        "--qkv-fusion", choices=("unfused", "qk", "qkv"), default="qkv",
+        help="QKV input-projection fusion variant",
+    )
+    store = parent()
+    store.add_argument(
+        "--sweep-store", default=None, metavar="DIR",
+        help="directory of the persistent sweep store "
+             "(default: REPRO_SWEEP_STORE or disabled)",
+    )
+    store.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="worker processes for cold whole-graph sweeps "
+             "(default: REPRO_JOBS or serial; 0 = one per CPU)",
+    )
+    url = parent()
+    url.add_argument(
+        "--url", default=f"http://127.0.0.1:{DEFAULT_PORT}",
+        help="base URL of a running daemon or fleet coordinator",
+    )
+    bind = parent()
+    bind.add_argument("--host", default="127.0.0.1", help="bind address")
+    bind.add_argument(
+        "--port", type=int, default=DEFAULT_PORT,
+        help=f"bind port (default {DEFAULT_PORT}; 0 = ephemeral)",
+    )
+    bind.add_argument(
+        "--drain-deadline", type=float, default=None, metavar="S",
+        help="SIGTERM: seconds to let in-flight requests finish "
+             "(default: REPRO_DRAIN_DEADLINE_S or 10)",
+    )
+    registry = parent()
+    registry.add_argument(
+        "--registry", default=None, metavar="DIR",
+        help="directory of the schedule registry "
+             "(default: REPRO_SCHEDULE_REGISTRY or <sweep-store>/registry)",
+    )
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce 'Data Movement Is All You Need' (MLSys 2021).",
@@ -756,140 +669,180 @@ def main(argv: list[str] | None = None) -> int:
         action="version",
         version=f"repro {__version__} (cost model v{COST_MODEL_VERSION})",
     )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--batch", type=int, default=8, help="mini-batch size B")
-    parser.add_argument("--seq", type=int, default=512, help="sequence length L")
-    parser.add_argument(
-        "--cap", type=int, default=400,
-        help="sampled-configuration cap for wide kernel sweeps",
+    commands = parser.add_subparsers(
+        dest="command", required=True, metavar="COMMAND"
     )
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for cold whole-graph sweeps "
-             "(default: REPRO_JOBS or serial; 0 = one per CPU)",
+
+    def command(name, func, parents, help, on=commands):
+        sub = on.add_parser(name, help=help, description=help, parents=parents)
+        sub.set_defaults(func=func, command_parser=sub)
+        return sub
+
+    command("table1", _cmd_table1, [dims, store],
+            "Table I: flop and runtime share per operator class")
+    command("table2", _cmd_table2, [dims, store],
+            "Table II: algebraic fusion of the Q/K/V projections")
+    command("table3", _cmd_table3, [dims, cap, store],
+            "Table III: per-operator breakdown, PyTorch vs ours")
+    command("table4", _cmd_table4, [dims, cap, store],
+            "Table IV: multi-head attention per framework")
+    command("table5", _cmd_table5, [dims, cap, store],
+            "Table V: encoder layer per framework")
+    command("optimize", _cmd_optimize, [dims, cap, store],
+            "run the full recipe on the encoder")
+    command("movement", _cmd_movement, [dims],
+            "data-movement reduction from fusion")
+    command("roofline", _cmd_roofline, [dims],
+            "roofline placement of every encoder kernel")
+    command("calibrate", _cmd_calibrate, [dims, cap, store],
+            "audit the cost model against the paper's measurements")
+    serve = command("serve", _cmd_serve, [store, bind],
+                    "run the tuning daemon")
+    serve.set_defaults(role=None)
+
+    query = command("query", _cmd_query, [url, graph, dims, cap],
+                    "ask a running daemon for a tuned schedule")
+    only = query.add_mutually_exclusive_group()
+    only.add_argument(
+        "--health", action="store_true", help="print /healthz and exit"
     )
-    parser.add_argument(
-        "--sweep-store", default=None, metavar="DIR",
-        help="directory of the persistent sweep store "
-             "(default: REPRO_SWEEP_STORE or disabled)",
+    only.add_argument(
+        "--metrics", action="store_true", help="print /metrics and exit"
     )
-    service = parser.add_argument_group("tuning service (serve / query)")
-    service.add_argument(
-        "--host", default="127.0.0.1", help="serve: bind address"
-    )
-    service.add_argument(
-        "--port", type=int, default=DEFAULT_PORT,
-        help=f"serve: bind port (default {DEFAULT_PORT}; 0 = ephemeral)",
-    )
-    service.add_argument(
-        "--url", default=f"http://127.0.0.1:{DEFAULT_PORT}",
-        help="query: base URL of a running daemon",
-    )
-    service.add_argument(
-        "--drain-deadline", type=float, default=None, metavar="S",
-        help="serve: SIGTERM drain — seconds to let in-flight requests "
-             "finish (default: REPRO_DRAIN_DEADLINE_S or 10)",
-    )
-    service.add_argument(
-        "--health", action="store_true", help="query: print /healthz and exit"
-    )
-    service.add_argument(
-        "--metrics", action="store_true", help="query: print /metrics and exit"
-    )
-    service.add_argument(
-        "--model", choices=("mha", "encoder", "decoder"), default="encoder",
-        help="query: graph to optimize",
-    )
-    service.add_argument(
-        "--qkv-fusion", choices=("unfused", "qk", "qkv"), default="qkv",
-        help="query: QKV input-projection fusion variant",
-    )
-    tracing = parser.add_argument_group("distributed tracing (trace)")
-    tracing.add_argument(
+
+    trace = command("trace", _cmd_trace, [url, graph, dims, cap],
+                    "fetch a distributed trace, or capture one live")
+    which = trace.add_mutually_exclusive_group(required=True)
+    which.add_argument(
         "--trace-id", default=None, metavar="ID",
-        help="trace: fetch the stored trace with this 32-hex id",
+        help="fetch the stored trace with this 32-hex id",
     )
-    tracing.add_argument(
+    which.add_argument(
         "--capture", action="store_true",
-        help="trace: run one traced optimize against --url and show its "
-             "trace (uses --model/--qkv-fusion/--batch/--seq/--cap)",
+        help="run one traced optimize against --url and show its trace "
+             "(uses --model/--qkv-fusion/--batch/--seq/--cap)",
     )
-    tracing.add_argument(
+    trace.add_argument(
         "--export", default=None, metavar="FILE",
-        help="trace: also write the trace as Chrome trace-event JSON "
+        help="also write the trace as Chrome trace-event JSON "
              "(loadable in Perfetto or chrome://tracing)",
     )
-    tracing.add_argument(
+    trace.add_argument(
         "--top", type=int, default=0, metavar="N",
-        help="trace: also list the N slowest spans",
+        help="also list the N slowest spans",
     )
-    reg = parser.add_argument_group("schedule registry (register / validate)")
-    reg.add_argument(
-        "--registry", default=None, metavar="DIR",
-        help="directory of the schedule registry "
-             "(default: REPRO_SCHEDULE_REGISTRY or <sweep-store>/registry)",
-    )
-    reg.add_argument(
-        "--digest", default=None, metavar="SHA256",
-        help="validate: check the one entry with this content digest",
-    )
-    reg.add_argument(
-        "--all", action="store_true",
-        help="validate: check every entry in the registry",
-    )
-    reg.add_argument(
-        "--deep", action="store_true",
-        help="validate: also re-select configurations through both "
-             "pipelines and compare against the stored selection",
-    )
-    reg.add_argument(
+
+    register = command("register", _cmd_register,
+                       [registry, graph, dims, cap, store],
+                       "tune a model graph and persist its schedule")
+    register.add_argument(
         "--forward-only", action="store_true",
-        help="register: tune the forward-only graph",
+        help="tune the forward-only graph",
     )
-    reg.add_argument(
+    register.add_argument(
         "--unfused", action="store_true",
-        help="register: skip the paper's operator fusion",
+        help="skip the paper's operator fusion",
     )
-    cal = parser.add_argument_group("calibration & rollout (report / rollout)")
-    cal.add_argument(
+
+    validate = command("validate", _cmd_validate, [registry, store],
+                       "re-validate registered schedules; exit 1 if any fails")
+    which = validate.add_mutually_exclusive_group(required=True)
+    which.add_argument(
+        "--digest", default=None, metavar="SHA256",
+        help="check the one entry with this content digest",
+    )
+    which.add_argument(
+        "--all", action="store_true", help="check every entry in the registry"
+    )
+    validate.add_argument(
+        "--deep", action="store_true",
+        help="also re-select configurations through both pipelines and "
+             "compare against the stored selection",
+    )
+
+    report = command("report", _cmd_report, [url],
+                     "submit measured timings to a daemon's feedback store")
+    report.add_argument(
         "--records", default=None, metavar="FILE",
-        help="report: JSON file with a list of feedback records "
+        help="JSON file with a list of feedback records "
              "(default: submit the paper's Table III corpus)",
     )
-    cal.add_argument(
+
+    rollout = command("rollout", _cmd_rollout, [url],
+                      "inspect or drive a daemon's cost-model rollout")
+    action = rollout.add_mutually_exclusive_group()
+    action.add_argument(
         "--propose", action="store_true",
-        help="rollout: fit a candidate from the daemon's feedback store "
-             "and shadow-gate it into canary",
+        help="fit a candidate from the daemon's feedback store and "
+             "shadow-gate it into canary",
     )
-    cal.add_argument(
-        "--params", default=None, metavar="FILE",
-        help="rollout: propose these explicit efficiency params (JSON "
-             "object) instead of fitting from feedback",
-    )
-    cal.add_argument(
-        "--force", action="store_true",
-        help="rollout: skip the shadow error gate when proposing",
-    )
-    cal.add_argument(
+    action.add_argument(
         "--promote", action="store_true",
-        help="rollout: promote the canary candidate immediately",
+        help="promote the canary candidate immediately",
     )
-    cal.add_argument(
+    action.add_argument(
         "--rollback", action="store_true",
-        help="rollout: abandon the canary candidate",
+        help="abandon the canary candidate",
     )
-    args = parser.parse_args(argv)
-    if args.sweep_store is not None:
+    rollout.add_argument(
+        "--params", default=None, metavar="FILE",
+        help="with --propose: these explicit efficiency params (JSON "
+             "object) instead of a fit from feedback",
+    )
+    rollout.add_argument(
+        "--force", action="store_true",
+        help="with --propose: skip the shadow error gate",
+    )
+
+    fleet = commands.add_parser(
+        "fleet", help="run or inspect the sharded tuning fleet",
+        description="Run or inspect the sharded tuning fleet.",
+    )
+    fleet_commands = fleet.add_subparsers(
+        dest="fleet_command", required=True, metavar="COMMAND"
+    )
+    fleet_serve = command("serve", _cmd_serve, [store, bind],
+                          "run a coordinator or worker daemon",
+                          on=fleet_commands)
+    fleet_serve.add_argument(
+        "--role", choices=("coordinator", "worker"), default="coordinator",
+        help="what this daemon is (default: coordinator)",
+    )
+    fleet_serve.add_argument(
+        "--coordinator-url", default=None, metavar="URL",
+        help="worker: coordinator to register with (required for workers)",
+    )
+    fleet_serve.add_argument(
+        "--worker-id", default=None, metavar="ID",
+        help="worker: stable identity on the hash ring "
+             "(default: a random worker-<hex> id)",
+    )
+    fleet_serve.add_argument(
+        "--advertise-url", default=None, metavar="URL",
+        help="worker: URL to announce to the coordinator "
+             "(default: the bound http://host:port)",
+    )
+    command("status", _cmd_fleet_status, [url],
+            "print a coordinator's fleet state", on=fleet_commands)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        # Reported by the command's own parser, so the usage line printed
+        # with the error lists the flags that command does accept.
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    if getattr(args, "sweep_store", None) is not None:
         from repro.engine import set_sweep_store
 
         set_sweep_store(args.sweep_store)
-    if args.jobs is not None:
+    if getattr(args, "jobs", None) is not None:
         from repro.engine import set_default_jobs
 
         set_default_jobs(args.jobs)
-    rc = _COMMANDS[args.command](args)
+    rc = args.func(args)
     return int(rc) if rc else 0
-
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__
     sys.exit(main())

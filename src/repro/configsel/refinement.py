@@ -44,11 +44,6 @@ class RefinementResult:
         return 1.0 - self.refined_total_us / self.initial_total_us
 
 
-def _operand_layout_pairs(op, m: ConfigMeasurement):
-    yield from zip(op.inputs, m.config.input_layouts)
-    yield from zip(op.outputs, m.config.output_layouts)
-
-
 def _evaluate(
     graph: DataflowGraph,
     chosen: dict[str, ConfigMeasurement],

@@ -128,18 +128,6 @@ class SelectedConfiguration:
         """End-to-end predicted time: all kernels plus inserted transposes."""
         return sum(m.total_us for m in self.chosen.values()) + self.transpose_us
 
-    def stage_total_us(self, graph: DataflowGraph, *, backward: bool) -> float:
-        total = 0.0
-        for name, m in self.chosen.items():
-            op = graph.op(name)
-            if op.stage.is_backward == backward:
-                total += m.total_us
-        for t in self.transposes:
-            op = graph.op(t.before_op)
-            if op.stage.is_backward == backward:
-                total += t.time_us
-        return total
-
 
 # ---------------------------------------------------------------------------
 # Chain graph: dense matrices (fast) and explicit DAG (scalar reference)
@@ -947,15 +935,6 @@ def _best_coherent(
         if score < winner_score:
             winner, winner_score = m, score
     return winner or best
-
-
-def _coherence(op: OpSpec, m: ConfigMeasurement, pinned: dict[str, Layout]) -> int:
-    """How many unpinned operands this config keeps in default layout."""
-    score = 0
-    for t, l in _iter_operand_layouts(op, m):
-        if t.name not in pinned and l.dims == t.dims:
-            score += 1
-    return score
 
 
 def _construct_consistent(

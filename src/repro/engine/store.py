@@ -34,7 +34,6 @@ recomputed (and overwritten), never silently reused.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -47,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
+from repro.digest import content_digest
 from repro.durable import atomic_write
 from repro.hardware.efficiency import contraction_layout_units
 from repro.hardware.params import active_cost_model_version
@@ -190,8 +190,7 @@ def sweep_digest(
 ) -> str:
     """Stable content digest of one sweep (process- and session-independent)."""
     key = canonical_sweep_key(op, env, gpu, cap=cap, seed=seed)
-    blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return content_digest(key)
 
 
 def canonical_structural_key(
@@ -220,8 +219,7 @@ def structural_sweep_digest(
 ) -> str:
     """Digest of :func:`canonical_structural_key` (the delta-re-sweep key)."""
     key = canonical_structural_key(op, env, gpu, cap=cap, seed=seed)
-    blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return content_digest(key)
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,11 @@ take the lock, so the hot sweep path pays one attribute load.  Only
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import threading
 from dataclasses import dataclass, fields
+
+from repro.digest import content_digest
 
 __all__ = [
     "DEFAULT_PARAMS",
@@ -44,7 +44,6 @@ __all__ = [
     "install_params",
     "params_digest",
     "params_from_wire",
-    "reset_active_params",
 ]
 
 #: The cost-model version served by :data:`DEFAULT_PARAMS`.  This is the
@@ -159,10 +158,7 @@ def params_from_wire(wire: dict, where: str = "params") -> EfficiencyParams:
 
 def params_digest(params: EfficiencyParams) -> str:
     """SHA-256 over the canonical JSON wire form: the params identity."""
-    blob = json.dumps(
-        params.to_wire(), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return content_digest(params.to_wire())
 
 
 def candidate_version(params: EfficiencyParams) -> str:
@@ -221,10 +217,3 @@ def install_params(
     with _lock:
         _active = (params, version)
     return version
-
-
-def reset_active_params() -> None:
-    """Back to the default model (tests and daemon shutdown hygiene)."""
-    global _active
-    with _lock:
-        _active = (DEFAULT_PARAMS, DEFAULT_VERSION)

@@ -31,11 +31,11 @@ entry's bytes — like every service response — are deterministic.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass, field
 
 from repro.autotuner.tuner import ConfigMeasurement
+from repro.digest import canonical_json_bytes, content_digest
 from repro.hardware.cost_model import KernelTime
 from repro.hardware.params import active_cost_model_version
 from repro.hardware.spec import GPUSpec
@@ -46,7 +46,6 @@ from repro.layouts.config import NUM_GEMM_ALGORITHMS, HEURISTIC_ALGORITHM, OpCon
 from repro.layouts.layout import Layout
 from repro.service.protocol import (
     ProtocolError,
-    canonical_json_bytes,
     config_to_wire,
     gpu_to_wire,
     measurement_to_wire,
@@ -281,7 +280,7 @@ def schedule_digest(
         "gpu": gpu_to_wire(gpu),
         "knobs": {"cap": cap, "seed": seed, "source": source},
     }
-    return hashlib.sha256(canonical_json_bytes(key)).hexdigest()
+    return content_digest(key)
 
 
 def _graph_dims(graph: DataflowGraph) -> set[str]:

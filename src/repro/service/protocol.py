@@ -19,10 +19,9 @@ engine is bit-identical to the reference the resulting
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass
 
+from repro.digest import canonical_json_bytes, content_digest
 from repro.hardware.params import active_cost_model_version
 from repro.hardware.spec import A100, V100, GPUSpec
 from repro.ir.dims import DimEnv, bert_large_dims
@@ -93,15 +92,6 @@ _NAMED_GPUS: dict[str, GPUSpec] = {"V100": V100, "A100": A100}
 
 class ProtocolError(ValueError):
     """A malformed or unserviceable request body (HTTP 400)."""
-
-
-def canonical_json_bytes(obj) -> bytes:
-    """The one serialization every response uses: sorted keys, no spaces.
-
-    Determinism matters: concurrent clients of one digest must receive
-    byte-identical payloads (pinned by the load benchmark).
-    """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +490,7 @@ def optimize_request_digest(req: OptimizeRequest) -> str:
         "cap": req.cap,
         "seed": req.seed,
     }
-    return hashlib.sha256(canonical_json_bytes(key)).hexdigest()
+    return content_digest(key)
 
 
 # ---------------------------------------------------------------------------

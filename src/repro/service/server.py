@@ -938,14 +938,6 @@ class _Handler(BaseHTTPRequestHandler):
         if not self.quiet:  # pragma: no cover - debug aid
             super().log_message(format, *args)
 
-    def _send_json(self, status: int, obj: dict) -> None:
-        body = canonical_json_bytes(obj)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
     def _send_reply(self, reply: WireReply) -> None:
         try:
             self.send_response(reply.status)
@@ -985,31 +977,24 @@ class _Handler(BaseHTTPRequestHandler):
     def _run(self, endpoint: str, fn) -> None:
         # In-flight tracking lives here (not in handle_one_request) so an
         # idle keep-alive connection never counts against graceful drain.
-        tracker = getattr(self.server, "track_request", None)
-        if tracker is None:
-            self._run_tracked(endpoint, fn)
-        else:
-            with tracker():
-                self._run_tracked(endpoint, fn)
-
-    def _run_tracked(self, endpoint: str, fn) -> None:
         # Latency from a monotonic clock (an NTP step must never yield a
         # negative sample), inside a server span that adopts the caller's
         # traceparent header — the cross-process link of a fleet trace.
         metrics = self.service.metrics
-        metrics.request_started()
-        start = perf_counter()
-        try:
-            with obs.span(
-                f"server{endpoint}",
-                parent=self.headers.get(obs.TRACEPARENT_HEADER),
-                service=self.service.service_name,
-                endpoint=endpoint,
-            ):
-                self._respond(endpoint, fn)
-        finally:
-            metrics.request_finished()
-            metrics.record_request(endpoint, perf_counter() - start)
+        with self.server.track_request():
+            metrics.request_started()
+            start = perf_counter()
+            try:
+                with obs.span(
+                    f"server{endpoint}",
+                    parent=self.headers.get(obs.TRACEPARENT_HEADER),
+                    service=self.service.service_name,
+                    endpoint=endpoint,
+                ):
+                    self._respond(endpoint, fn)
+            finally:
+                metrics.request_finished()
+                metrics.record_request(endpoint, perf_counter() - start)
 
     def _respond(self, endpoint: str, fn) -> None:
         try:
@@ -1058,8 +1043,10 @@ class _Handler(BaseHTTPRequestHandler):
     def _not_found(self, method: str) -> None:
         self.service.metrics.record_error("404")
         try:
-            self._send_json(
-                404, {"error": f"no such endpoint: {method} {self.path}"}
+            self._send_reply(
+                _json_reply(
+                    404, {"error": f"no such endpoint: {method} {self.path}"}
+                )
             )
         except (ConnectionError, TimeoutError):
             pass  # scanner closed the socket mid-404; nothing to answer

@@ -4,7 +4,8 @@ Random memory-bound kernels and contractions over small dimension sizes,
 for the engine, store, delta and store-state-machine suites.  Each
 strategy takes the size strategy as a parameter, so a suite that needs a
 wider set (the delta suite's :data:`DELTA_SIZES`) widens it without
-copying the op construction.
+copying the op construction.  :func:`assert_bit_identical` is the one
+sweep comparison those suites check their results with.
 """
 
 from __future__ import annotations
@@ -78,3 +79,20 @@ def contraction_ops(draw, sizes=SIZES):
     env = DimEnv({d: draw(sizes) for d in all_dims})
     op = contraction_spec("c", einsum, ("a", "b"), "y")
     return op, env
+
+
+def assert_bit_identical(ref, got):
+    """``got`` equals the reference sweep ``ref`` bit for bit.
+
+    Same config count, ``times_us()`` equal to the reference's measurement
+    totals, and per measurement the same config and exactly equal
+    compute/memory/launch components (float ``==``, no tolerance: the
+    bit-identity contract).
+    """
+    assert got.num_configs == ref.num_configs
+    assert got.times_us() == [m.total_us for m in ref.measurements]
+    for a, b in zip(ref.measurements, got.measurements):
+        assert a.config == b.config
+        assert a.time.compute_us == b.time.compute_us
+        assert a.time.memory_us == b.time.memory_us
+        assert a.time.launch_us == b.time.launch_us

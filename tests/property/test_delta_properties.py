@@ -16,7 +16,12 @@ import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import DELTA_SIZES, contraction_ops, kernel_ops
+from strategies import (
+    DELTA_SIZES,
+    assert_bit_identical,
+    contraction_ops,
+    kernel_ops,
+)
 
 from repro.autotuner.tuner import sweep_op_reference
 from repro.engine.store import (
@@ -65,16 +70,6 @@ def _warm_base(op, env, *, cap, seed) -> None:
         STORE.save(digest, compute_payload(op, env, COST.gpu, cap=cap, seed=seed))
 
 
-def _assert_bit_identical(ref, loaded):
-    assert loaded.num_configs == ref.num_configs
-    assert loaded.times_us() == [m.total_us for m in ref.measurements]
-    for a, b in zip(ref.measurements, loaded.measurements):
-        assert a.config == b.config
-        assert a.time.compute_us == b.time.compute_us
-        assert a.time.memory_us == b.time.memory_us
-        assert a.time.launch_us == b.time.launch_us
-
-
 @settings(max_examples=25, deadline=None)
 @given(kernel_cases())
 def test_kernel_delta_resweep_bit_identical_to_cold(params):
@@ -92,7 +87,7 @@ def test_kernel_delta_resweep_bit_identical_to_cold(params):
         assert delta is None
         return
     assert delta is not None
-    _assert_bit_identical(
+    assert_bit_identical(
         sweep_op_reference(op, perturbed, COST, cap=cap, seed=seed),
         sweep_from_payload(op, delta),
     )
@@ -114,7 +109,7 @@ def test_contraction_delta_resweep_bit_identical_to_cold(params):
     # Contraction sweeps are exhaustive (cap/seed-free), so any same-shape
     # problem is a structural twin: the delta path must always engage.
     assert delta is not None
-    _assert_bit_identical(
+    assert_bit_identical(
         sweep_op_reference(op, perturbed, COST),
         sweep_from_payload(op, delta),
     )

@@ -13,23 +13,13 @@ Randomizes operator shapes, dimension sizes and sampling knobs, and checks
 from __future__ import annotations
 
 from hypothesis import given, settings
-from strategies import contraction_ops, kernel_ops
+from strategies import assert_bit_identical, contraction_ops, kernel_ops
 
 from repro.autotuner.tuner import sweep_op_reference
 from repro.engine.sweep import sweep_op as engine_sweep_op
 from repro.hardware.cost_model import CostModel
 
 COST = CostModel()
-
-
-def _assert_bit_identical(ref, eng):
-    assert eng.num_configs == ref.num_configs
-    for a, b in zip(ref.measurements, eng.measurements):
-        assert a.config == b.config
-        # Exact float equality on every component — the bit-identity contract.
-        assert a.time.compute_us == b.time.compute_us
-        assert a.time.memory_us == b.time.memory_us
-        assert a.time.launch_us == b.time.launch_us
 
 
 def _assert_invariants(sweep):
@@ -50,7 +40,7 @@ def test_kernel_sweeps_bit_identical(params):
     op, env, cap, seed = params
     ref = sweep_op_reference(op, env, COST, cap=cap, seed=seed)
     eng = engine_sweep_op(op, env, COST, cap=cap, seed=seed, memo=False)
-    _assert_bit_identical(ref, eng)
+    assert_bit_identical(ref, eng)
     _assert_invariants(eng)
     _assert_invariants(ref)
 
@@ -61,7 +51,7 @@ def test_contraction_sweeps_bit_identical(params):
     op, env = params
     ref = sweep_op_reference(op, env, COST)
     eng = engine_sweep_op(op, env, COST, memo=False)
-    _assert_bit_identical(ref, eng)
+    assert_bit_identical(ref, eng)
     _assert_invariants(eng)
 
 
@@ -72,4 +62,4 @@ def test_memoized_sweep_is_shared_and_identical(params):
     first = engine_sweep_op(op, env, COST, cap=cap, seed=seed)
     second = engine_sweep_op(op, env, COST, cap=cap, seed=seed)
     assert first is second  # process-level memo returns the same object
-    _assert_bit_identical(sweep_op_reference(op, env, COST, cap=cap, seed=seed), first)
+    assert_bit_identical(sweep_op_reference(op, env, COST, cap=cap, seed=seed), first)

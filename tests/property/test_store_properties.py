@@ -12,7 +12,7 @@ from __future__ import annotations
 import tempfile
 
 from hypothesis import given, settings
-from strategies import contraction_ops, kernel_ops
+from strategies import assert_bit_identical, contraction_ops, kernel_ops
 
 from repro.autotuner.tuner import sweep_op_reference
 from repro.engine.store import SweepStore, compute_payload, sweep_digest
@@ -35,23 +35,13 @@ def _round_trip(op, env, *, cap, seed):
     return sweep_from_payload(op, STORE.load(digest)), digest
 
 
-def _assert_bit_identical(ref, loaded):
-    assert loaded.num_configs == ref.num_configs
-    assert loaded.times_us() == [m.total_us for m in ref.measurements]
-    for a, b in zip(ref.measurements, loaded.measurements):
-        assert a.config == b.config
-        assert a.time.compute_us == b.time.compute_us
-        assert a.time.memory_us == b.time.memory_us
-        assert a.time.launch_us == b.time.launch_us
-
-
 @settings(max_examples=25, deadline=None)
 @given(kernel_ops())
 def test_kernel_store_round_trip_bit_identical(params):
     op, env, cap, seed = params
     ref = sweep_op_reference(op, env, COST, cap=cap, seed=seed)
     loaded, digest = _round_trip(op, env, cap=cap, seed=seed)
-    _assert_bit_identical(ref, loaded)
+    assert_bit_identical(ref, loaded)
     # The digest is a pure function of content.
     assert digest == sweep_digest(op, env, COST.gpu, cap=cap, seed=seed)
 
@@ -62,7 +52,7 @@ def test_contraction_store_round_trip_bit_identical(params):
     op, env = params
     ref = sweep_op_reference(op, env, COST)
     loaded, digest = _round_trip(op, env, cap=2000, seed=0x5EED)
-    _assert_bit_identical(ref, loaded)
+    assert_bit_identical(ref, loaded)
     # Irrelevant dimensions don't perturb the digest.
     grown = DimEnv({**env.sizes, "zq": 9})
     assert sweep_digest(op, grown, COST.gpu, cap=2000, seed=0x5EED) == digest
